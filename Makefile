@@ -50,11 +50,13 @@ race:
 
 # Fast, focused race coverage of the parallel execution layer: the
 # worker pool itself, partitioned parallel runs, the shared telemetry
-# registry, and the parallel stats harness. `race` covers these too;
-# this target fails fast and stays cheap enough to run on every change.
+# registry, the parallel stats harness, and concurrent first use of the
+# engine tables cached on an automaton. `race` covers these too; this
+# target fails fast and stays cheap enough to run on every change.
 race-parallel:
 	$(GO) test -race -count=1 ./internal/parallel/ ./internal/telemetry/ ./internal/guard/
 	$(GO) test -race -count=1 -run 'Parallel' ./internal/partition/ ./internal/stats/
+	$(GO) test -race -count=10 -run 'TestConcurrentCompileSharesTables|TestCompileOnceAcrossSegmentRuns|TestPlanRunExtractsSlicesOnce' ./internal/automata/
 
 # Guard the disabled-telemetry fast path: sim.Engine.Run must stay
 # allocation-free with no tracer/profile/registry attached, and both

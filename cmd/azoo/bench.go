@@ -25,7 +25,9 @@ func cmdBench(args []string) error {
 	pf := fs.Bool("prefilter", false, "also time each kernel on the two-stage literal prefilter engine, recorded as an extra <name>@pf row")
 	out := fs.String("o", "", "output file (default BENCH_<label>.json)")
 	timestamp := fs.String("timestamp", "", "RFC3339 provenance timestamp (default now; fix it for reproducible artifacts)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	ts := time.Now().UTC()
 	if *timestamp != "" {

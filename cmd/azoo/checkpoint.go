@@ -249,7 +249,9 @@ func cmdResume(args []string) error {
 	fs := flag.NewFlagSet("resume", flag.ExitOnError)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return usageErrorf("usage: azoo resume [flags] <checkpoint-file>")
 	}
@@ -277,6 +279,16 @@ func cmdResume(args []string) error {
 	seed, err := strconv.ParseUint(m.Flags["seed"], 0, 64)
 	if err != nil {
 		return fmt.Errorf("checkpoint seed: %w", err)
+	}
+	// The run's size flags come from the checkpoint; hold them to the
+	// same rule parseFlags applies on the command line.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"scale", scale}, {"input", float64(input)}, {"j", float64(m.Workers)}, {"segments", float64(m.Segments)}} {
+		if f.v < 0 {
+			return usageErrorf("resume: checkpoint records -%s %v; it must not be negative", f.name, f.v)
+		}
 	}
 	sess, err := tf.session()
 	if err != nil {

@@ -35,7 +35,9 @@ func cmdExplain(args []string) error {
 		*name = args[0]
 		args = args[1:]
 	}
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *name == "" {
 		return usageErrorf("explain: benchmark name required (azoo explain <benchmark>)")
 	}

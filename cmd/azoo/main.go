@@ -68,6 +68,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
@@ -178,6 +179,30 @@ commands:
   version      print the build's version and VCS revision`)
 }
 
+// sizeFlags are the suite's size and parallelism flags. None has a
+// meaning below zero (0 is the documented auto value of -j and
+// -segments); a negative value would otherwise run silently on a clamped
+// or empty configuration.
+var sizeFlags = []string{"scale", "input", "j", "segments"}
+
+// parseFlags parses args into fs, then rejects a negative value of any of
+// the sizeFlags fs defines with the command's usage and a usage error
+// (exit 2).
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	fs.Parse(args)
+	for _, name := range sizeFlags {
+		f := fs.Lookup(name)
+		if f == nil {
+			continue
+		}
+		if v, err := strconv.ParseFloat(f.Value.String(), 64); err == nil && v < 0 {
+			fs.Usage()
+			return usageErrorf("%s: -%s must not be negative (got %s)", fs.Name(), name, f.Value)
+		}
+	}
+	return nil
+}
+
 func suiteFlags(fs *flag.FlagSet) (*float64, *int, *uint64) {
 	scale := fs.Float64("scale", 0.05, "pattern-count scale (1.0 = paper scale)")
 	input := fs.Int("input", 200_000, "standard input bytes")
@@ -249,7 +274,9 @@ func cmdRun(args []string) error {
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
 	cf := checkpointFlags(fs)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	b, err := resolveBenchmark(*name)
 	if err != nil {
 		return err
@@ -651,7 +678,9 @@ func cmdTable1(args []string) error {
 	annotate := annotateFlag(fs)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	sess, err := tf.session()
 	if err != nil {
 		return err
@@ -715,7 +744,9 @@ func cmdTable2(args []string) error {
 	annotate := annotateFlag(fs)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	sess, err := tf.session()
 	if err != nil {
 		return err
@@ -770,7 +801,9 @@ func cmdTable3(args []string) error {
 	annotate := annotateFlag(fs)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	sess, err := tf.session()
 	if err != nil {
 		return err
@@ -834,7 +867,9 @@ func cmdTable4(args []string) error {
 	annotate := annotateFlag(fs)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	sess, err := tf.session()
 	if err != nil {
 		return err

@@ -23,7 +23,7 @@ type Match struct {
 // safe for concurrent scanning.
 //
 // Nodes are renumbered in BFS (shallowest-first) order after construction,
-// and the shallowest denseLimit nodes get fully resolved 256-entry
+// and the shallowest maxDenseNodes nodes get fully resolved 256-entry
 // transition rows: on realistic inputs the scan loop spends nearly all its
 // time near the root, so those rows make stepping a single array load.
 // Deeper nodes fall back to sparse goto maps with failure-link walks.
@@ -36,8 +36,15 @@ type Matcher struct {
 	dense [][256]int32 // rows for nodes [0, len(dense))
 }
 
-// maxDenseNodes bounds the dense-row memory (8192 nodes ≈ 8 MiB).
-const maxDenseNodes = 8192
+// maxDenseNodes bounds the dense-row memory: 1024 rows of 256 int32s,
+// 1 MiB. A matcher now lives as long as its automaton (the prefilter
+// caches it), so the rows are resident rather than transient. Scans
+// rarely reach the deep nodes: with the prefilter on ClamAV's standard
+// input, 132 of 65,536 steps (0.2%) start at a node >= 1024 at scale
+// 0.01 (a 14,134-node trie); at scale 0.1 over 1 MiB it is 3.3%, and
+// only 0.02% start at a node >= 4096. Deeper steps take the sparse
+// goto/fail walk.
+const maxDenseNodes = 1024
 
 // Compile builds the matcher from the given byte patterns. Empty patterns
 // are rejected; duplicates are allowed (each reports its own index).

@@ -244,3 +244,48 @@ func TestNumNodesBounded(t *testing.T) {
 		t.Fatalf("nodes=%d want 6", m.NumNodes())
 	}
 }
+
+// TestRandomizedAcrossDenseBoundary: a trie larger than maxDenseNodes, so
+// scans cross between the dense rows and the sparse goto/fail walk in
+// both directions. Scan must still agree with brute force, and the input
+// must actually step from deep (sparse) nodes.
+func TestRandomizedAcrossDenseBoundary(t *testing.T) {
+	rng := randx.New(1024)
+	const alphabet = 4
+	patterns := make([][]byte, 600)
+	for i := range patterns {
+		p := make([]byte, 4+rng.Intn(9))
+		for j := range p {
+			p[j] = byte('a' + rng.Intn(alphabet))
+		}
+		patterns[i] = p
+	}
+	input := make([]byte, 20000)
+	for i := 0; i < len(input); {
+		if rng.Intn(4) == 0 {
+			i += copy(input[i:], randx.Pick(rng, patterns))
+			continue
+		}
+		input[i] = byte('a' + rng.Intn(alphabet))
+		i++
+	}
+	m, err := Compile(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumNodes() <= maxDenseNodes {
+		t.Fatalf("trie has %d nodes, want > maxDenseNodes (%d)", m.NumNodes(), maxDenseNodes)
+	}
+	deep := 0
+	state := int32(0)
+	for _, c := range input {
+		if int(state) >= maxDenseNodes {
+			deep++
+		}
+		state = m.StepFrom(state, c, func(int) {})
+	}
+	if deep == 0 {
+		t.Fatal("no step started at a sparse node: the dense/sparse boundary is not exercised")
+	}
+	checkAgainstNaive(t, patterns, input)
+}

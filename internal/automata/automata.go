@@ -31,6 +31,7 @@ package automata
 
 import (
 	"fmt"
+	"sync"
 
 	"automatazoo/internal/charset"
 )
@@ -104,7 +105,8 @@ const (
 
 // Automaton is a frozen, immutable homogeneous automaton. Edges are stored
 // in CSR form (EdgeOff/Edges); per-state character classes are interned
-// handles into the shared charset table.
+// handles into the shared charset table. The engines' compiled tables are
+// cached on it (see Compiled), so an Automaton must not be copied.
 type Automaton struct {
 	table *charset.Table
 
@@ -118,6 +120,8 @@ type Automaton struct {
 	counters map[StateID]Counter
 
 	starts []StateID // all states with StartType != StartNone, ascending
+
+	cache sync.Map // *CacheKey → *cacheSlot, filled by Compiled
 }
 
 // NumStates returns the number of elements (STEs plus counters).

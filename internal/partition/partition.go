@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
@@ -43,9 +44,17 @@ type Plan struct {
 	Capacity int
 	Slices   []Slice
 
-	a       *automata.Automaton
-	compIdx []int32 // per-state component
-	sizes   []int
+	a         *automata.Automaton
+	compIdx   []int32 // per-state component
+	sizes     []int
+	extracted []extracted // per slice, filled on first Extract
+}
+
+// extracted is one slice's standalone automaton, built exactly once.
+type extracted struct {
+	once sync.Once
+	a    *automata.Automaton
+	err  error
 }
 
 // Partition bin-packs the automaton's components into slices of at most
@@ -86,6 +95,7 @@ func Partition(a *automata.Automaton, capacity int) (*Plan, error) {
 			p.Slices = append(p.Slices, Slice{Components: []int32{c}, States: sz})
 		}
 	}
+	p.extracted = make([]extracted, len(p.Slices))
 	return p, nil
 }
 
@@ -104,12 +114,23 @@ func (p *Plan) Utilization() float64 {
 	return total / float64(len(p.Slices))
 }
 
-// Extract materializes slice i as a standalone automaton. Report codes and
-// all element properties are preserved; state IDs are renumbered.
+// Extract returns slice i as a standalone automaton. Report codes and all
+// element properties are preserved; state IDs are renumbered. The slice
+// is extracted on the first call (safe from concurrent callers) and the
+// same automaton is returned by every later call, so runs of the plan
+// share it — and with it the engine tables compiled on it. The plan's
+// Slices must not be modified once Extract has been called.
 func (p *Plan) Extract(i int) (*automata.Automaton, error) {
 	if i < 0 || i >= len(p.Slices) {
 		return nil, fmt.Errorf("partition: slice %d out of range", i)
 	}
+	x := &p.extracted[i]
+	x.once.Do(func() { x.a, x.err = p.extract(i) })
+	return x.a, x.err
+}
+
+// extract materializes slice i.
+func (p *Plan) extract(i int) (*automata.Automaton, error) {
 	want := map[int32]bool{}
 	for _, c := range p.Slices[i].Components {
 		want[c] = true
@@ -223,7 +244,8 @@ type RunOptions struct {
 	// complete, in the canonical merged order (see RunParallel).
 	OnReport func(sim.Report)
 	// Registry, if non-nil, is attached to every slice engine; sim.*
-	// counters and the frontier histogram accumulate the per-slice work.
+	// counters and the frontier histogram accumulate the per-slice work,
+	// and engine.constructed counts the engines the run built.
 	// Final registry contents are deterministic (counter sums and
 	// histogram totals are order-independent), but note they describe
 	// per-slice engine work: sim.symbols counts Passes() × len(input).
@@ -233,10 +255,12 @@ type RunOptions struct {
 	// across slices is scheduling-dependent under Workers > 1.
 	Tracer telemetry.Tracer
 	// Spans, if non-nil, receives a "partition.run" phase span whose
-	// children time slice extraction ("extract"), slice scanning ("scan"),
-	// and report merging ("merge"). Per-slice timings aggregate into those
-	// three nodes (each worker records into a fork adopted in slice-index
-	// order), so the span tree is deterministic at any worker count.
+	// children time slice extraction ("extract", near zero once the plan
+	// has extracted the slice), engine construction ("construct"), slice
+	// scanning ("scan"), and report merging ("merge"). Per-slice timings
+	// aggregate into those nodes (each worker records into a fork adopted
+	// in slice-index order), so the span tree is deterministic at any
+	// worker count.
 	Spans *telemetry.Spans
 	// Governor, if non-nil, bounds the run: every slice checks in at the
 	// partition.slice boundary before extracting, and each slice engine
@@ -346,13 +370,9 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 		if err != nil {
 			return err
 		}
-		var e segment.Engine
-		if opts.NewEngine != nil {
-			if e, err = opts.NewEngine(sub); err != nil {
-				return err
-			}
-		} else {
-			e = sim.New(sub)
+		e, err := segment.Construct(opts.NewEngine, sub, ss.Start("construct"), opts.Registry)
+		if err != nil {
+			return err
 		}
 		e.SetRegistry(opts.Registry)
 		e.SetTracer(opts.Tracer)

@@ -10,7 +10,14 @@
 // Components without a usable anchor (head classes that are not single
 // bytes, multiple start states, counters, anchors shorter than MinAnchor)
 // fall back to an ordinary always-on sim engine embedded in the same
-// Engine ("residual"), stepped in lockstep.
+// Engine ("residual"), stepped in lockstep. The residual engine runs on
+// the sub-automaton of those components, or — when no component is
+// anchored — on the automaton itself, with an identity ID map instead of
+// an extracted copy.
+//
+// The anchor plan, the matcher and the residual sub-automaton are
+// compiled once per automaton and cached on it (automata.Compiled); every
+// Engine on the automaton shares them, and New allocates only scratch.
 //
 // Engine mirrors sim.Engine's execution contract so the partition, segment,
 // and stats layers can drive either engine through one interface:
@@ -76,36 +83,62 @@ type pending struct {
 	resid bool
 }
 
-// Engine is the two-stage scanner over one automaton, execution-contract
-// compatible with sim.Engine. Reusable across runs (Reset) but not safe
-// for concurrent use.
-type Engine struct {
-	a       *automata.Automaton
+// tables is the compiled, read-only half of an Engine: the anchor plan,
+// the Aho–Corasick matcher with its prefix weights, and the residual
+// sub-automaton with its ID maps. One tables value per automaton lives in
+// the automaton's cache for the automaton's lifetime and is shared by
+// every Engine on it, concurrently; nothing here is written after compile.
+// Engines embed it by value, which copies only headers, so the scan loop
+// reads the matcher and weights without an extra indirection.
+type tables struct {
 	matcher *acmatch.Matcher // nil when no component is anchored
 	anchors []anchor
 	wa, we  []int64 // per-matcher-node chain active/enabled weights
 
-	// residual runs the non-anchored components in lockstep (nil when
-	// every component is anchored). residualInv/residualLoc translate its
-	// local state IDs from/to whole-automaton IDs.
-	residual    *sim.Engine
+	// residualAut holds the non-anchored components (nil when every
+	// component is anchored). When none is anchored it is the automaton
+	// itself and the ID maps are nil (identity); otherwise it is the
+	// extracted sub-automaton, residualInv maps its local IDs to
+	// whole-automaton IDs, and residualLoc maps back (NoState for states
+	// of anchored components).
+	residualAut *automata.Automaton
 	residualInv []automata.StateID
-	residualLoc map[automata.StateID]automata.StateID
+	residualLoc []automata.StateID
 
-	numStates  int
 	anchored   int
 	unanchored int
+	err        error
+}
+
+// tablesKey caches the compiled tables on each automaton.
+var tablesKey = automata.NewCacheKey("prefilter")
+
+// Engine is the two-stage scanner over one automaton, execution-contract
+// compatible with sim.Engine. Reusable across runs (Reset) but not safe
+// for concurrent use. Everything but the compiled tables is per-engine
+// scratch, so New is cheap after the automaton's first engine.
+type Engine struct {
+	a *automata.Automaton
+	tables
+
+	// residual runs the non-anchored components in lockstep (nil when
+	// every component is anchored).
+	residual *sim.Engine
+
+	numStates int
 
 	// Confirm interpreter over the full automaton: the frontier holds the
-	// anchored components' post-chain states, seeded by anchor hits.
+	// anchored components' post-chain states, seeded by anchor hits. The
+	// class, successor and report-code arrays are the frozen automaton's
+	// own — the same arrays sim's compiled tables point at — not copies.
 	sets     []charset.Set
 	css      []charset.Handle
-	succ     [][]automata.StateID
-	isReport []bool
+	edgeOff  []uint32
+	edges    []automata.StateID
 	code     []int32
 	frontier []automata.StateID
 	next     []automata.StateID
-	mark     []uint32
+	mark     []uint32 // allocated only when some component is anchored
 	gen      uint32
 
 	acState int32
@@ -144,8 +177,39 @@ type Engine struct {
 	anchorCompSlots []int32 // distinct slots of anchored components
 }
 
-// New analyzes a and prepares the engine.
+// New returns an engine for a. The automaton's tables are compiled on the
+// first call for a and shared by every later engine on it, so New is
+// otherwise a scratch allocation.
 func New(a *automata.Automaton) (*Engine, error) {
+	t := automata.Compiled(a, tablesKey, compile)
+	if t.err != nil {
+		return nil, t.err
+	}
+	n := a.NumStates()
+	e := &Engine{
+		a:         a,
+		tables:    *t,
+		numStates: n,
+		sets:      a.Table().Sets(),
+		css:       a.ClassHandles(),
+		code:      a.ReportCodes(),
+	}
+	e.edgeOff, e.edges = a.CSR()
+	if t.anchored > 0 {
+		e.mark = make([]uint32, n)
+	}
+	if t.residualAut != nil {
+		e.residual = sim.New(t.residualAut)
+		e.residual.OnReport = e.residReport
+	}
+	e.onAnchorFn = e.onAnchor
+	e.Reset()
+	return e, nil
+}
+
+// compile analyzes a: it extracts every component's anchor, compiles the
+// anchors into one matcher, and sets the residual components aside.
+func compile(a *automata.Automaton) *tables {
 	_, compIdx := a.Components()
 	nComp := 0
 	for _, c := range compIdx {
@@ -169,69 +233,78 @@ func New(a *automata.Automaton) (*Engine, error) {
 		}
 	}
 
-	n := a.NumStates()
-	e := &Engine{
-		a:         a,
-		numStates: n,
-		sets:      a.Table().Sets(),
-		css:       make([]charset.Handle, n),
-		succ:      make([][]automata.StateID, n),
-		isReport:  make([]bool, n),
-		code:      make([]int32, n),
-		mark:      make([]uint32, n),
-	}
-	for i := 0; i < n; i++ {
-		id := automata.StateID(i)
-		e.css[id] = a.ClassHandle(id)
-		e.succ[id] = a.Succ(id)
-		e.isReport[id] = a.IsReport(id)
-		e.code[id] = a.ReportCode(id)
-	}
-
+	t := &tables{}
 	anchoredComp := make([]bool, nComp)
 	var literals [][]byte
 	for c := 0; c < nComp; c++ {
 		if hasCounter[c] {
-			e.unanchored++
+			t.unanchored++
 			continue
 		}
 		lit, tail, ok := extractAnchor(a, starts[c], pred)
 		if ok {
 			anchoredComp[c] = true
-			e.anchors = append(e.anchors, anchor{literal: lit, tail: tail})
+			t.anchors = append(t.anchors, anchor{literal: lit, tail: tail})
 			literals = append(literals, lit)
-			e.anchored++
+			t.anchored++
 		} else {
-			e.unanchored++
+			t.unanchored++
 		}
 	}
 	if len(literals) > 0 {
 		m, err := acmatch.Compile(literals)
 		if err != nil {
-			return nil, fmt.Errorf("prefilter: %w", err)
+			return &tables{err: fmt.Errorf("prefilter: %w", err)}
 		}
 		wa, we, err := m.PrefixWeights(literals)
 		if err != nil {
-			return nil, fmt.Errorf("prefilter: %w", err)
+			return &tables{err: fmt.Errorf("prefilter: %w", err)}
 		}
-		e.matcher, e.wa, e.we = m, wa, we
+		t.matcher, t.wa, t.we = m, wa, we
 	}
-	if e.unanchored > 0 {
+	switch {
+	case t.unanchored == 0:
+		// Everything is anchored: no residual engine.
+	case t.anchored == 0:
+		// Nothing is anchored: the residual is the whole automaton, and
+		// its ID maps are the identity.
+		t.residualAut = a
+	default:
 		res, inv, err := extractComponents(a, compIdx, func(c int32) bool { return !anchoredComp[c] })
 		if err != nil {
-			return nil, err
+			return &tables{err: err}
 		}
-		e.residual = sim.New(res)
-		e.residualInv = inv
-		e.residualLoc = make(map[automata.StateID]automata.StateID, len(inv))
+		t.residualAut, t.residualInv = res, inv
+		t.residualLoc = make([]automata.StateID, a.NumStates())
+		for i := range t.residualLoc {
+			t.residualLoc[i] = automata.NoState
+		}
 		for loc, g := range inv {
-			e.residualLoc[g] = automata.StateID(loc)
+			t.residualLoc[g] = automata.StateID(loc)
 		}
-		e.residual.OnReport = e.residReport
 	}
-	e.onAnchorFn = e.onAnchor
-	e.Reset()
-	return e, nil
+	return t
+}
+
+// toGlobal translates a residual-engine state ID to its whole-automaton ID.
+func (e *Engine) toGlobal(loc automata.StateID) automata.StateID {
+	if e.residualInv == nil {
+		return loc
+	}
+	return e.residualInv[loc]
+}
+
+// toLocal translates a whole-automaton state ID to the residual engine's
+// numbering; ok is false for states of anchored components.
+func (e *Engine) toLocal(id automata.StateID) (loc automata.StateID, ok bool) {
+	switch {
+	case e.residual == nil:
+		return automata.NoState, false
+	case e.residualLoc == nil:
+		return id, true
+	}
+	loc = e.residualLoc[id]
+	return loc, loc != automata.NoState
 }
 
 // Automaton returns the automaton the engine executes.
@@ -245,7 +318,7 @@ func (e *Engine) Unanchored() int { return e.unanchored }
 // whole-automaton state numbering, into the current symbol's merge buffer.
 func (e *Engine) residReport(r sim.Report) {
 	e.pend = append(e.pend, pending{
-		rep:   sim.Report{Offset: r.Offset, State: e.residualInv[r.State], Code: r.Code},
+		rep:   sim.Report{Offset: r.Offset, State: e.toGlobal(r.State), Code: r.Code},
 		resid: true,
 	})
 }
@@ -259,10 +332,10 @@ func (e *Engine) onAnchor(pat int) {
 	if e.led != nil {
 		e.led.AddWork(e.anchorSlot[pat], int64(len(an.literal)))
 	}
-	if e.isReport[an.tail] {
+	if e.a.IsReport(an.tail) {
 		e.pend = append(e.pend, pending{rep: sim.Report{Offset: e.offset, State: an.tail, Code: e.code[an.tail]}})
 	}
-	for _, t := range e.succ[an.tail] {
+	for _, t := range e.edges[e.edgeOff[an.tail]:e.edgeOff[an.tail+1]] {
 		e.enable(t)
 	}
 }
@@ -286,10 +359,10 @@ func (e *Engine) activate(id automata.StateID) {
 	if e.led != nil {
 		e.led.Activate(id)
 	}
-	if e.isReport[id] {
+	if e.a.IsReport(id) {
 		e.pend = append(e.pend, pending{rep: sim.Report{Offset: e.offset, State: id, Code: e.code[id]}})
 	}
-	for _, t := range e.succ[id] {
+	for _, t := range e.edges[e.edgeOff[id]:e.edgeOff[id+1]] {
 		e.enable(t)
 	}
 }
@@ -647,9 +720,9 @@ func (e *Engine) SetLedger(l *attr.Ledger) {
 	}
 	slices.Sort(e.anchorCompSlots)
 	if e.residual != nil {
-		compOf := make([]int32, len(e.residualInv))
-		for loc, g := range e.residualInv {
-			compOf[loc] = l.Slot(g)
+		compOf := make([]int32, e.residualAut.NumStates())
+		for loc := range compOf {
+			compOf[loc] = l.Slot(e.toGlobal(automata.StateID(loc)))
 		}
 		e.residual.SetLedger(l.View(compOf))
 	}
@@ -682,7 +755,7 @@ func (e *Engine) SetOffset(off int64) {
 // EnableState arms a whole-automaton state for the next Step, routing
 // residual-component states to the embedded residual engine.
 func (e *Engine) EnableState(id automata.StateID) {
-	if loc, ok := e.residualLoc[id]; ok {
+	if loc, ok := e.toLocal(id); ok {
 		e.residual.EnableState(loc)
 		return
 	}
@@ -704,7 +777,7 @@ func (e *Engine) FrontierSnapshot() []automata.StateID {
 	f := append([]automata.StateID(nil), e.frontier...)
 	if e.residual != nil {
 		for _, loc := range e.residual.FrontierSnapshot() {
-			f = append(f, e.residualInv[loc])
+			f = append(f, e.toGlobal(loc))
 		}
 	}
 	slices.Sort(f)
@@ -726,14 +799,14 @@ func (e *Engine) RestoreState(s *sim.StreamState) {
 			e.acState = int32(int(id) - e.numStates)
 			continue
 		}
-		if loc, ok := e.residualLoc[id]; ok {
+		if loc, ok := e.toLocal(id); ok {
 			rs.Frontier = append(rs.Frontier, loc)
 			continue
 		}
 		e.EnableState(id)
 	}
 	for _, c := range s.Counters {
-		if loc, ok := e.residualLoc[c.ID]; ok {
+		if loc, ok := e.toLocal(c.ID); ok {
 			rs.Counters = append(rs.Counters, sim.CounterSnapshot{ID: loc, Value: c.Value, Latched: c.Latched})
 		}
 	}
@@ -752,11 +825,11 @@ func (e *Engine) RestoreState(s *sim.StreamState) {
 func (e *Engine) CaptureState() *sim.StreamState {
 	s := &sim.StreamState{Offset: e.offset, Frontier: e.FrontierSnapshot()}
 	if e.residual != nil {
-		// residualInv is ascending in whole-automaton IDs, so the sorted
-		// local counters translate to sorted global counters.
+		// The local→global map is ascending, so the sorted local
+		// counters translate to sorted global counters.
 		for _, c := range e.residual.CaptureState().Counters {
 			s.Counters = append(s.Counters, sim.CounterSnapshot{
-				ID: e.residualInv[c.ID], Value: c.Value, Latched: c.Latched,
+				ID: e.toGlobal(c.ID), Value: c.Value, Latched: c.Latched,
 			})
 		}
 	}

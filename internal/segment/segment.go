@@ -41,7 +41,6 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"automatazoo/internal/attr"
@@ -158,9 +157,10 @@ type Options struct {
 	OnReport func(sim.Report)
 	// Registry, if non-nil, is attached to every engine (master and
 	// speculative); sim.* counters describe engine work including warmup
-	// and replay waste, and the segment.* stitch counters are published
-	// here. Exact stream statistics come from Result.Stats, never from
-	// registry deltas.
+	// and replay waste, the segment.* stitch counters are published here,
+	// and engine.constructed counts the engines the runner built. Exact
+	// stream statistics come from Result.Stats, never from registry
+	// deltas.
 	Registry *telemetry.Registry
 	// Tracer, if non-nil, is attached to the master engine only: committed
 	// segments are scanned by speculative engines, so a traced segmented
@@ -168,6 +168,7 @@ type Options struct {
 	// stream. Use -segments 1 for complete traces.
 	Tracer telemetry.Tracer
 	// Spans, if non-nil, receives a "segment.run" phase span with
+	// "construct" (engine construction, master and per task),
 	// "segment.scan" (per-task scans, fork-adopted in segment order) and
 	// "segment.stitch" children.
 	Spans *telemetry.Spans
@@ -196,11 +197,13 @@ type Options struct {
 	// Attribution's global component indices; nil uses the collector's
 	// whole-automaton map.
 	AttrCompOf []int32
-	// NewEngine, if non-nil, constructs the scan engines (master and
-	// speculative pool); nil uses the plain NFA interpreter (sim.New). The
-	// factory must be deterministic — every engine it returns must produce
-	// identical stats and report streams over identical inputs, or the
-	// stitch's byte-identity guarantee breaks.
+	// NewEngine, if non-nil, constructs the scan engines (the master and
+	// one per speculative segment); nil uses the plain NFA interpreter
+	// (sim.New). The factory must be deterministic — every engine it
+	// returns must produce identical stats and report streams over
+	// identical inputs, or the stitch's byte-identity guarantee breaks.
+	// Engines compile their tables once per automaton, so a construction
+	// costs a scratch allocation.
 	NewEngine func(*automata.Automaton) (Engine, error)
 	// Master, if non-nil, is used as the master engine instead of a
 	// factory-built one. The checkpointed scan driver (internal/ckpt)
@@ -297,11 +300,11 @@ type Runner struct {
 	specOK bool
 	warmup int
 
-	master Engine
-	pool   sync.Pool
-	specs  []spec
-	forks  []*telemetry.Spans
-	root   *telemetry.Span
+	newEngine func(*automata.Automaton) (Engine, error)
+	master    Engine
+	specs     []spec
+	forks     []*telemetry.Spans
+	root      *telemetry.Span
 
 	collect    bool
 	perSeg     [][]sim.Report
@@ -333,15 +336,14 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 	r.specs = make([]spec, r.k)
 	r.perSeg = make([][]sim.Report, r.k)
 
-	newEngine := opts.NewEngine
-	if newEngine == nil {
-		newEngine = func(a *automata.Automaton) (Engine, error) { return sim.New(a), nil }
-	}
+	r.newEngine = opts.NewEngine
+	r.root = opts.Spans.Start("segment.run")
 	if opts.Master != nil {
 		r.master = opts.Master
 	} else {
-		m, err := newEngine(a)
+		m, err := Construct(r.newEngine, a, r.root.Start("construct"), opts.Registry)
 		if err != nil {
+			r.root.End()
 			return nil, err
 		}
 		r.master = m
@@ -360,21 +362,6 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 		r.master.SetLedger(r.masterLed)
 	}
 
-	r.pool.New = func() any {
-		e, err := newEngine(a)
-		if err != nil {
-			// The master above was built by the same deterministic factory
-			// and succeeded; a pooled construction cannot fail.
-			panic(err)
-		}
-		e.SetRegistry(opts.Registry)
-		e.SetGovernor(opts.Governor)
-		e.SetProgress(opts.Progress)
-		e.SetRecorder(opts.Recorder)
-		return e
-	}
-
-	r.root = opts.Spans.Start("segment.run")
 	if opts.Spans != nil {
 		r.forks = make([]*telemetry.Spans, r.Tasks())
 		for i := range r.forks {
@@ -382,6 +369,28 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 		}
 	}
 	return r, nil
+}
+
+// Construct builds one scan engine through factory (nil = sim.New) — the
+// single construction point of the segment and partition drivers. sp is
+// the already-started span timing the construction; Construct ends it and
+// counts the engine in reg's engine.constructed counter (reg may be nil).
+func Construct(factory func(*automata.Automaton) (Engine, error), a *automata.Automaton, sp *telemetry.Span, reg *telemetry.Registry) (Engine, error) {
+	var e Engine
+	var err error
+	if factory != nil {
+		e, err = factory(a)
+	} else {
+		e = sim.New(a)
+	}
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if reg != nil {
+		reg.Counter("engine.constructed").Inc()
+	}
+	return e, nil
 }
 
 // Segments returns the resolved segment count.
@@ -402,18 +411,33 @@ func (r *Runner) Tasks() int {
 // statistics); tasks 1..k-1 are speculative warmup+scan. Distinct tasks
 // may run concurrently.
 func (r *Runner) RunTask(i int) error {
+	var fork *telemetry.Spans
 	if r.forks != nil {
-		sp := r.forks[i].Start("segment.scan")
-		defer sp.End()
+		fork = r.forks[i]
 	}
 	r.opts.Recorder.Record(telemetry.RecSegment, i, guard.SiteSegment, r.bounds[i+1]-r.bounds[i])
 	if err := r.opts.Governor.Boundary(guard.SiteSegment, 0); err != nil {
 		return err
 	}
 	if i == 0 {
+		sp := fork.Start("segment.scan")
+		defer sp.End()
 		return r.scanMaster(0)
 	}
-	return r.speculate(i)
+	// Each speculative segment gets its own engine: construction is a
+	// scratch allocation, and one engine per task keeps the number built
+	// (engine.constructed) independent of scheduling.
+	e, err := Construct(r.newEngine, r.a, fork.Start("construct"), r.opts.Registry)
+	if err != nil {
+		return err
+	}
+	e.SetRegistry(r.opts.Registry)
+	e.SetGovernor(r.opts.Governor)
+	e.SetProgress(r.opts.Progress)
+	e.SetRecorder(r.opts.Recorder)
+	sp := fork.Start("segment.scan")
+	defer sp.End()
+	return r.speculate(i, e)
 }
 
 // scanMaster scans segment i on the master engine, accumulating exact
@@ -433,12 +457,9 @@ func (r *Runner) scanMaster(i int) error {
 	return err
 }
 
-// speculate runs segment i's warmup and speculative scan on a pooled
-// engine, leaving the candidate result in r.specs[i].
-func (r *Runner) speculate(i int) error {
-	e := r.pool.Get().(Engine)
-	defer r.pool.Put(e)
-	e.Reset()
+// speculate runs segment i's warmup and speculative scan on the fresh
+// engine e, leaving the candidate result in r.specs[i].
+func (r *Runner) speculate(i int, e Engine) error {
 	lo, hi := r.bounds[i], r.bounds[i+1]
 	ws := lo - int64(r.warmup)
 	if ws < 0 {

@@ -87,20 +87,14 @@ func (s Stats) ReportRate() float64 {
 
 // Engine executes one automaton over byte streams. It is reusable across
 // runs (Reset) but not safe for concurrent use; run parallel streams with
-// one Engine each (the frozen Automaton is shared and immutable).
+// one Engine each. An Engine is two halves: the compiled tables, built
+// once per automaton and shared read-only by every Engine on it (see
+// tables), and the per-engine scratch below — frontiers, marks, counter
+// values, statistics and hooks — which is all New allocates after the
+// automaton's first engine.
 type Engine struct {
-	a    *automata.Automaton
-	sets []charset.Set    // interned class storage
-	css  []charset.Handle // per-state class handle
-	succ [][]automata.StateID
-
-	isCounter []bool
-	isReport  []bool
-	code      []int32
-
-	startIdx    [256][]automata.StateID // all-input starts matching each byte
-	allStarts   []automata.StateID      // used instead when NoStartIndex
-	startOfData []automata.StateID
+	a *automata.Automaton
+	tables
 
 	// Frontier state. mark[i]==gen means state i is in the next frontier;
 	// amark[i]==gen means state i already activated this cycle (a state can
@@ -119,7 +113,6 @@ type Engine struct {
 	// it). A map here would make multi-counter resolution follow Go's
 	// randomized iteration order — see fireCounters.
 	counterVal map[automata.StateID]uint32
-	counterCfg map[automata.StateID]automata.Counter
 	pulsed     []automata.StateID
 	pulseMark  []bool // allocated only when the automaton has counters
 	latched    map[automata.StateID]bool
@@ -210,60 +203,99 @@ type Options struct {
 	NoStartIndex bool
 }
 
-// New returns an engine for a. The automaton is analyzed once; subsequent
-// runs reuse the prepared indexes.
-func New(a *automata.Automaton) *Engine {
-	return NewWithOptions(a, Options{})
+// tables is the compiled, read-only half of an Engine. The per-state
+// arrays are the frozen automaton's own (not copies); the flags and the
+// start lists are derived once. One tables value per automaton lives in
+// the automaton's cache for the automaton's lifetime and is shared by
+// every Engine on it, concurrently — nothing here is ever written after
+// compile. Engines embed it by value, which copies only slice headers.
+type tables struct {
+	sets      []charset.Set      // interned class storage
+	css       []charset.Handle   // per-state class handle (a's array)
+	edgeOff   []uint32           // CSR successor offsets (a's array)
+	edges     []automata.StateID // CSR successor lists (a's array)
+	code      []int32            // per-state report code (a's array)
+	isCounter []bool
+	isReport  []bool
+
+	startIdx    *[256][]automata.StateID // all-input starts matching each byte
+	allStarts   []automata.StateID       // used instead when NoStartIndex
+	startOfData []automata.StateID
 }
 
-// NewWithOptions is New with explicit strategy options.
-func NewWithOptions(a *automata.Automaton, opts Options) *Engine {
+// tablesKey caches the production (indexed) tables on each automaton.
+var tablesKey = automata.NewCacheKey("sim")
+
+// compile builds a's tables. noStartIndex lists every all-input start in
+// allStarts instead of indexing them by byte.
+func compile(a *automata.Automaton, noStartIndex bool) tables {
 	n := a.NumStates()
-	e := &Engine{
-		a:          a,
-		sets:       a.Table().Sets(),
-		css:        make([]charset.Handle, n),
-		succ:       make([][]automata.StateID, n),
-		isCounter:  make([]bool, n),
-		isReport:   make([]bool, n),
-		code:       make([]int32, n),
-		mark:       make([]uint32, n),
-		amark:      make([]uint32, n),
-		counterVal: map[automata.StateID]uint32{},
-		counterCfg: map[automata.StateID]automata.Counter{},
-		latched:    map[automata.StateID]bool{},
+	t := tables{
+		sets:      a.Table().Sets(),
+		css:       a.ClassHandles(),
+		code:      a.ReportCodes(),
+		isCounter: make([]bool, n),
+		isReport:  make([]bool, n),
+		startIdx:  new([256][]automata.StateID),
 	}
-	if a.NumCounters() > 0 {
-		e.pulseMark = make([]bool, n)
-	}
+	t.edgeOff, t.edges = a.CSR()
 	for i := 0; i < n; i++ {
 		id := automata.StateID(i)
-		e.css[id] = a.ClassHandle(id)
-		e.succ[id] = a.Succ(id)
-		e.isReport[id] = a.IsReport(id)
-		e.code[id] = a.ReportCode(id)
-		if a.Kind(id) == automata.KindCounter {
-			e.isCounter[id] = true
-			cfg, _ := a.CounterConfig(id)
-			e.counterCfg[id] = cfg
-		}
+		t.isReport[id] = a.IsReport(id)
+		t.isCounter[id] = a.Kind(id) == automata.KindCounter
 	}
 	for _, s := range a.Starts() {
 		switch a.Start(s) {
 		case automata.StartAllInput:
-			if opts.NoStartIndex {
-				e.allStarts = append(e.allStarts, s)
+			if noStartIndex {
+				t.allStarts = append(t.allStarts, s)
 				continue
 			}
-			cls := e.sets[e.css[s]]
+			cls := t.sets[t.css[s]]
 			for c := 0; c < 256; c++ {
 				if cls.Contains(byte(c)) {
-					e.startIdx[c] = append(e.startIdx[c], s)
+					t.startIdx[c] = append(t.startIdx[c], s)
 				}
 			}
 		case automata.StartOfData:
-			e.startOfData = append(e.startOfData, s)
+			t.startOfData = append(t.startOfData, s)
 		}
+	}
+	return t
+}
+
+// compileIndexed is compile for the production configuration, in the
+// shape automata.Compiled takes.
+func compileIndexed(a *automata.Automaton) *tables {
+	t := compile(a, false)
+	return &t
+}
+
+// New returns an engine for a. The automaton's tables are compiled on the
+// first call for a and shared by every later engine on it, so New is
+// otherwise a scratch allocation.
+func New(a *automata.Automaton) *Engine {
+	return NewWithOptions(a, Options{})
+}
+
+// NewWithOptions is New with explicit strategy options. The NoStartIndex
+// ablation compiles private tables, bypassing the shared cache.
+func NewWithOptions(a *automata.Automaton, opts Options) *Engine {
+	n := a.NumStates()
+	e := &Engine{
+		a:          a,
+		mark:       make([]uint32, n),
+		amark:      make([]uint32, n),
+		counterVal: map[automata.StateID]uint32{},
+		latched:    map[automata.StateID]bool{},
+	}
+	if opts.NoStartIndex {
+		e.tables = compile(a, true)
+	} else {
+		e.tables = *automata.Compiled(a, tablesKey, compileIndexed)
+	}
+	if a.NumCounters() > 0 {
+		e.pulseMark = make([]bool, n)
 	}
 	e.Reset()
 	return e
@@ -574,7 +606,7 @@ func (e *Engine) activate(id automata.StateID) {
 	if e.isReport[id] {
 		e.emit(id)
 	}
-	for _, t := range e.succ[id] {
+	for _, t := range e.edges[e.edgeOff[id]:e.edgeOff[id+1]] {
 		if e.isCounter[t] {
 			e.pulse(t)
 		} else {
@@ -651,7 +683,7 @@ func (e *Engine) fireCounters() {
 		if e.latched[id] {
 			continue // a latched counter ignores count-enables until Reset
 		}
-		cfg := e.counterCfg[id]
+		cfg, _ := e.a.CounterConfig(id)
 		v := e.counterVal[id] + 1
 		if v < cfg.Target {
 			e.counterVal[id] = v
@@ -661,7 +693,7 @@ func (e *Engine) fireCounters() {
 		if e.isReport[id] {
 			e.emit(id)
 		}
-		for _, t := range e.succ[id] {
+		for _, t := range e.edges[e.edgeOff[id]:e.edgeOff[id+1]] {
 			if e.isCounter[t] {
 				if !e.pulseMark[t] {
 					e.pulseMark[t] = true
